@@ -5,10 +5,10 @@
 namespace agile::core {
 
 gpu::GpuTask<bool> AgileService::pollWindow(gpu::KernelCtx& ctx,
-                                            std::uint32_t pairIdx) {
+                                            std::uint32_t pairIdx,
+                                            SimTime& doorbellCarry) {
   AgileCq& cq = *qps_->cqs[pairIdx];
   AgileSq& sq = *qps_->sqs[pairIdx];
-  const std::uint32_t lane = ctx.laneId();
   const std::uint32_t window = cq.windowLanes;
   // Fast skip: nothing in flight on this pair and no half-consumed window —
   // one shared-state load instead of a full window scan.
@@ -18,32 +18,39 @@ gpu::GpuTask<bool> AgileService::pollWindow(gpu::KernelCtx& ctx,
   }
   // Algorithm 1 line 2: load offset / mask / phase.
   ctx.charge(cost::kServicePollRound);
-  if (lane == 0) ++stats_.pollRounds;
+  ++stats_.pollRounds;
 
-  bool found = false;
-  if (lane < window && (cq.mask & (1u << lane)) == 0) {
-    const std::uint32_t pos = (cq.offset + lane) % cq.depth;
-    const nvme::Cqe cqe = cq.ring[pos];
-    if (cqe.phase() == cq.phase) {
-      // Lines 5-6: valid completion — process it and set the mask bit. Each
-      // lane releases its own completion's resources in parallel.
-      ctx.charge(cost::kServiceCqeProcess);
-      AGILE_CHECK(cqe.sqId == sq.qid);
-      applyCompletion(ctx.engine(), sq, cqe.cid, cqe.status());
-      cq.mask |= 1u << lane;
-      ++stats_.completions;
-      found = true;
-    }
+  // Lines 3-7 for every lane of the window, in lane order: lane i checks
+  // the CQE at (offset + i); a valid completion is processed and its mask
+  // bit set. Each lane releases its own completion's resources.
+  std::uint32_t found = 0;
+  for (std::uint32_t lane = 0; lane < window; ++lane) {
+    if ((cq.mask & (1u << lane)) != 0) continue;
+    const nvme::Cqe cqe = cq.ring[(cq.offset + lane) % cq.depth];
+    if (cqe.phase() != cq.phase) continue;
+    AGILE_CHECK(cqe.sqId == sq.qid);
+    applyCompletion(ctx.engine(), sq, cqe.cid, cqe.status());
+    cq.mask |= 1u << lane;
+    ++stats_.completions;
+    found |= 1u << lane;
   }
+  // SIMT lockstep: the segment costs its slowest lane. Lane 0 also carries
+  // the doorbell it wrote at the start of this segment.
+  const SimTime lane0 =
+      doorbellCarry + ((found & 1u) != 0 ? cost::kServiceCqeProcess : 0);
+  const SimTime others = (found & ~1u) != 0 ? cost::kServiceCqeProcess : 0;
+  ctx.charge(std::max(lane0, others));
+  doorbellCarry = 0;
 
   // Warp-synchronous point: all lanes finished their slot checks.
-  const std::uint32_t anyMask = co_await gpu::warpBallot(ctx, found);
+  co_await ctx.yield();
 
   // Lines 8-11: window fully processed — advance, flip phase on wrap, and
   // notify the SSD through the CQ head doorbell so it can reuse the entries.
+  // Lane 0 writes it; its cost lands in the next segment's max.
   const std::uint32_t fullMask =
       window == 32 ? 0xffffffffu : ((1u << window) - 1u);
-  if (lane == 0 && cq.mask == fullMask) {
+  if (cq.mask == fullMask) {
     cq.mask = 0;
     cq.offset += window;
     if (cq.offset == cq.depth) {
@@ -51,36 +58,36 @@ gpu::GpuTask<bool> AgileService::pollWindow(gpu::KernelCtx& ctx,
       cq.phase = !cq.phase;
     }
     cq.head = cq.offset;
-    ctx.charge(cost::kDoorbellWrite);
+    doorbellCarry = cost::kDoorbellWrite;
     cq.ssd->writeCqDoorbell(cq.qid, cq.head);
     ++stats_.cqDoorbells;
     ++stats_.windowsAdvanced;
   }
-  co_return anyMask != 0;
+  co_return found != 0;
 }
 
 gpu::GpuTask<void> AgileService::laneBody(gpu::KernelCtx& ctx) {
+  // Lane 0 executes the whole warp (see the header comment).
+  if (ctx.laneId() != 0) co_return;
   const std::uint32_t warp = ctx.warpId();
   const std::uint32_t warps = cfg_.warps;
+  SimTime idle = cfg_.idleBackoffMin;
+  SimTime doorbellCarry = 0;
   while (!stop_) {
     bool any = false;
     for (std::uint32_t pairIdx = warp; pairIdx < qps_->count();
          pairIdx += warps) {
-      any |= co_await pollWindow(ctx, pairIdx);
+      any |= co_await pollWindow(ctx, pairIdx, doorbellCarry);
     }
+    // A doorbell written after the warp's last window pass is charged here.
+    ctx.charge(doorbellCarry);
+    doorbellCarry = 0;
     // Adaptive idle backoff: busy CQs are polled at the minimum interval,
-    // quiet ones progressively less often. Lane 0 updates the shared value
-    // first in the segment; all lanes of the warp then sleep the same time.
-    // Each lane's sleep is a timer on the engine's hierarchical wheel
-    // (Lane::suspendSleep → Engine::scheduleAfter): at production line
-    // counts the service contributes thousands of concurrent backoff
-    // timers per poll generation, all O(1) wheel inserts.
-    if (ctx.laneId() == 0) {
-      idlePerWarp_[warp] = any ? cfg_.idleBackoffMin
-                               : std::min(idlePerWarp_[warp] * 2,
-                                          cfg_.idleBackoffMax);
-    }
-    co_await ctx.backoff(idlePerWarp_[warp]);
+    // quiet ones progressively less often. The whole warp sleeps on one
+    // engine timer.
+    idle = any ? cfg_.idleBackoffMin
+               : std::min(idle * 2, cfg_.idleBackoffMax);
+    co_await ctx.backoff(idle);
   }
 }
 

@@ -9,12 +9,19 @@
 // rotates across them round-robin. Within a CQ, lane i of the warp checks
 // the CQE at (offset + i): completions are processed in parallel by the
 // lanes, the per-CQ mask accumulates progress, and the window advances (and
-// the CQ doorbell is written) only when all 32 entries of the window have
-// been consumed — a faithful transcription of Algorithm 1.
+// the CQ doorbell is written) only when every entry of the window has been
+// consumed — a faithful transcription of Algorithm 1.
+//
+// The warp is simulated as the lockstep unit it is: lane 0 runs the whole
+// warp as one coroutine (the slot checks of lanes 0..window-1 in lane order,
+// then one yield as the warp-synchronous point) and charges each segment
+// what SIMT lockstep costs — the uniform part plus the max over lanes of the
+// per-lane extras. Lanes 1..31 exist only so the launch keeps its 64-thread
+// occupancy and register footprint (Fig. 12); they retire at entry. The
+// warp sleeps between polling passes on one engine timer.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.h"
 #include "core/cost_model.h"
@@ -40,7 +47,7 @@ struct ServiceStats {
 class AgileService {
  public:
   AgileService(QueuePairSet& qps, ServiceConfig cfg)
-      : qps_(&qps), cfg_(cfg), idlePerWarp_(cfg.warps, cfg.idleBackoffMin) {}
+      : qps_(&qps), cfg_(cfg) {}
 
   const ServiceConfig& config() const { return cfg_; }
   const ServiceStats& stats() const { return stats_; }
@@ -60,18 +67,22 @@ class AgileService {
             .name = "agile-service"};
   }
 
-  // Device body for every service lane.
+  // Device body for every service lane: lane 0 runs its warp's polling
+  // loop, the other lanes return at once.
   gpu::GpuTask<void> laneBody(gpu::KernelCtx& ctx);
 
  private:
-  // One Algorithm-1 polling pass of this lane over `cq`. Returns whether any
-  // new completion was consumed by this warp on this CQ.
-  gpu::GpuTask<bool> pollWindow(gpu::KernelCtx& ctx, std::uint32_t pairIdx);
+  // One Algorithm-1 polling pass of the warp over queue pair `pairIdx`.
+  // Returns whether any lane consumed a new completion. `doorbellCarry` is
+  // lane 0's CQ-doorbell charge from the previous pass's window advance: it
+  // belongs to the segment this pass runs in, so the pass folds it into the
+  // lockstep max, and sets it again if this pass advances the window.
+  gpu::GpuTask<bool> pollWindow(gpu::KernelCtx& ctx, std::uint32_t pairIdx,
+                                SimTime& doorbellCarry);
 
   QueuePairSet* qps_;
   ServiceConfig cfg_;
   ServiceStats stats_;
-  std::vector<SimTime> idlePerWarp_;
   bool stop_ = false;
 };
 

@@ -1,7 +1,11 @@
 // Tests for the AGILE service (Algorithm 1): warp-centric window semantics,
 // CQ doorbell cadence, phase-bit survival across ring laps, multi-warp CQ
-// partitioning, and lifecycle.
+// partitioning, lifecycle, and the pinned virtual schedule of the lockstep
+// service warp.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
 
 #include "core/ctrl.h"
 #include "core/host.h"
@@ -12,21 +16,39 @@ namespace {
 struct ServiceFixture : ::testing::Test {
   std::unique_ptr<AgileHost> host;
 
-  void build(std::uint32_t qps, std::uint32_t depth,
-             std::uint32_t serviceWarps = 2, SimTime ioTimeoutNs = 0,
-             SimTime readLatencyNs = 0) {
+  // End time of the last traffic() kernel.
+  SimTime trafficEnd = 0;
+
+  static HostConfig hostConfig(std::uint32_t qps, std::uint32_t depth,
+                               std::uint32_t serviceWarps = 2) {
     HostConfig cfg;
     cfg.queuePairsPerSsd = qps;
     cfg.queueDepth = depth;
     cfg.service.warps = serviceWarps;
-    cfg.ioTimeoutNs = ioTimeoutNs;
-    host = std::make_unique<AgileHost>(cfg);
+    return cfg;
+  }
+
+  static nvme::SsdConfig ssdConfig() {
     nvme::SsdConfig ssd;
     ssd.capacityLbas = 1u << 16;
-    if (readLatencyNs != 0) ssd.readLatencyNs = readLatencyNs;
+    return ssd;
+  }
+
+  void build(const HostConfig& cfg, const nvme::SsdConfig& ssd) {
+    host = std::make_unique<AgileHost>(cfg);
     host->addNvmeDev(ssd);
     host->initNvme();
     host->startAgile();
+  }
+
+  void build(std::uint32_t qps, std::uint32_t depth,
+             std::uint32_t serviceWarps = 2, SimTime ioTimeoutNs = 0,
+             SimTime readLatencyNs = 0) {
+    HostConfig cfg = hostConfig(qps, depth, serviceWarps);
+    cfg.ioTimeoutNs = ioTimeoutNs;
+    nvme::SsdConfig ssd = ssdConfig();
+    if (readLatencyNs != 0) ssd.readLatencyNs = readLatencyNs;
+    build(cfg, ssd);
   }
 
   void TearDown() override {
@@ -41,7 +63,7 @@ struct ServiceFixture : ::testing::Test {
   // Issue `n` reads from `threads` GPU threads and wait for all of them.
   void traffic(std::uint32_t n) {
     auto* mem = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
-    const bool ok = host->runKernel(
+    const gpu::KernelHandle k = host->launchKernel(
         {.gridDim = std::max(1u, n / 64), .blockDim = std::min(n, 64u),
          .name = "traffic"},
         [&, n](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
@@ -62,7 +84,8 @@ struct ServiceFixture : ::testing::Test {
                                 chain);
           co_await barrierWait(ctx, tmp.barrier());
         });
-    ASSERT_TRUE(ok);
+    ASSERT_TRUE(host->wait(k));
+    trafficEnd = k->endTime;
   }
 };
 
@@ -297,6 +320,92 @@ TEST_F(ServiceFixture, StopQuiescesPromptly) {
 TEST_F(ServiceFixture, ServiceRegistersMatchPaper) {
   build(1, 64);
   EXPECT_EQ(host->service().launchConfig(false).regsPerThread, 37u);
+}
+
+// --- pinned service schedule ----------------------------------------------
+//
+// The service warp runs as one lockstep coroutine that charges each segment
+// the SIMT max over its lanes (core/service.h). The values below were
+// recorded from the earlier one-coroutine-per-lane service, so they pin the
+// exact virtual schedule across that change: the traffic kernel's end time,
+// the service counters, and the service SM's segment count and busy time.
+
+struct ServiceSchedule {
+  SimTime trafficEnd;
+  std::uint64_t pollRounds;
+  std::uint64_t completions;
+  std::uint64_t cqDoorbells;
+  std::uint64_t smSegments;
+  SimTime smBusyNs;
+};
+
+// The service block is the first launch, so it lands on SM 0 whether or
+// not that SM is reserved for it.
+void expectSchedule(ServiceFixture& f, const ServiceSchedule& want) {
+  const ServiceStats& st = f.host->service().stats();
+  const gpu::Sm& sm = f.host->gpu().sm(0);
+  EXPECT_EQ(f.trafficEnd, want.trafficEnd);
+  EXPECT_EQ(st.pollRounds, want.pollRounds);
+  EXPECT_EQ(st.completions, want.completions);
+  EXPECT_EQ(st.cqDoorbells, want.cqDoorbells);
+  EXPECT_EQ(sm.segments(), want.smSegments);
+  EXPECT_EQ(sm.busyNs(), want.smBusyNs);
+}
+
+// Depth 32: a 16-lane window, so lanes 16..31 check no slot.
+TEST_F(ServiceFixture, ScheduleHalfWindow) {
+  build(2, 32);
+  traffic(512);
+  settle();
+  expectSchedule(*this, {607668, 1271, 512, 32, 3047, 86300});
+}
+
+// One queue pair, one service warp: every doorbell lands in the segment
+// that ends the warp's pass and starts its backoff.
+TEST_F(ServiceFixture, ScheduleSingleQpSingleWarp) {
+  build(1, 64, /*serviceWarps=*/1);
+  traffic(256);
+  settle();
+  expectSchedule(*this, {330762, 418, 256, 8, 1088, 32048});
+}
+
+// A service polling slower than the device completes fills the CQ before
+// the window advances, so completions wait in the device's backpressure
+// queue and the CQ doorbell itself posts them (tryPost).
+TEST_F(ServiceFixture, ScheduleCqBackpressure) {
+  HostConfig cfg = hostConfig(1, 32, /*serviceWarps=*/1);
+  cfg.service.idleBackoffMin = 4_us;
+  cfg.service.idleBackoffMax = 4_us;
+  nvme::SsdConfig ssd = ssdConfig();
+  ssd.readLatencyNs = 2_us;
+  ssd.readIops = 1e9;
+  ssd.iopsBurst = 64;
+  build(cfg, ssd);
+  // Sample the device-side backlog while the traffic runs.
+  std::size_t maxBackpressured = 0;
+  bool sampling = true;
+  std::function<void()> sample = [&] {
+    maxBackpressured = std::max(
+        maxBackpressured, host->ssd(0).queuePair(1).backpressured.size());
+    if (sampling) host->engine().scheduleAfter(50, [&] { sample(); });
+  };
+  sample();
+  traffic(512);
+  sampling = false;
+  settle();
+  EXPECT_GT(maxBackpressured, 0u);
+  expectSchedule(*this, {135136, 33, 512, 32, 191, 5634});
+}
+
+// Without a reserved SM the service warp shares SM 0 with user warps, so
+// its segments interleave with theirs in the SM's ready queue.
+TEST_F(ServiceFixture, ScheduleSharedSm) {
+  HostConfig cfg = hostConfig(4, 64);
+  cfg.reserveServiceSm = false;
+  build(cfg, ssdConfig());
+  traffic(1024);
+  settle();
+  expectSchedule(*this, {1161803, 5128, 1024, 32, 8406, 295511});
 }
 
 }  // namespace
