@@ -223,9 +223,11 @@ LegResult runLeg(const std::string& legName,
 }
 
 void printLeg(const LegResult& r) {
-  std::printf("-- %s (virtual %.2f ms, %" PRIu64 " events, %.2fs wall) --\n",
-              r.name.c_str(), static_cast<double>(r.virtualNs) / 1e6,
-              r.events, r.wallSec);
+  // Host-side figures go to stderr: stdout carries virtual time only.
+  std::printf("-- %s (virtual %.2f ms) --\n", r.name.c_str(),
+              static_cast<double>(r.virtualNs) / 1e6);
+  std::fprintf(stderr, "%s: %" PRIu64 " events, %.2fs wall\n",
+               r.name.c_str(), r.events, r.wallSec);
   for (const TenantWindow& w : r.tenants) {
     std::printf("  %-10s w=%-3.0f share %5.1f%% (target %5.1f%%, err %4.1f%%)"
                 "  ios %6" PRIu64 "  p50 %6" PRIu64 " p99 %6" PRIu64
@@ -317,6 +319,7 @@ int main(int argc, char** argv) {
   const double eventsTotal = static_cast<double>(alone.events + sat.events +
                                                  mixed.events + sat2.events);
   const double eventsPerSec = wallTotal > 0.0 ? eventsTotal / wallTotal : 0.0;
+  std::fprintf(stderr, "simulator throughput: %.0f events/s\n", eventsPerSec);
 
   std::FILE* f = std::fopen("BENCH_qos.json", "w");
   AGILE_CHECK_MSG(f != nullptr, "cannot open BENCH_qos.json");

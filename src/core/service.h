@@ -19,6 +19,14 @@
 // per-lane extras. Lanes 1..31 exist only so the launch keeps its 64-thread
 // occupancy and register footprint (Fig. 12); they retire at entry. The
 // warp sleeps between polling passes on one engine timer.
+//
+// Ring-order scan: the device writes CQEs only at its CQ tail, in ring
+// order, and never passes the host's head doorbell (which sits at the
+// window offset). Within a window the posted entries therefore form a
+// prefix, and so do the consumed ones (the mask). A pass starts at the
+// first unconsumed lane and stops at the first CQE whose phase does not
+// match: the lanes it skips could find nothing. Swallowed and aborted
+// commands never post, so they keep the order.
 #pragma once
 
 #include <cstdint>
@@ -72,13 +80,16 @@ class AgileService {
   gpu::GpuTask<void> laneBody(gpu::KernelCtx& ctx);
 
  private:
-  // One Algorithm-1 polling pass of the warp over queue pair `pairIdx`.
-  // Returns whether any lane consumed a new completion. `doorbellCarry` is
-  // lane 0's CQ-doorbell charge from the previous pass's window advance: it
-  // belongs to the segment this pass runs in, so the pass folds it into the
-  // lockstep max, and sets it again if this pass advances the window.
-  gpu::GpuTask<bool> pollWindow(gpu::KernelCtx& ctx, std::uint32_t pairIdx,
-                                SimTime& doorbellCarry);
+  // One Algorithm-1 polling pass of the warp over one queue pair, split at
+  // its warp-synchronous point. scanWindow runs the slot checks and charges
+  // the segment; it returns whether any lane consumed a new completion.
+  // `doorbellCarry` is lane 0's CQ-doorbell charge from the previous pass's
+  // window advance: it belongs to the segment this pass runs in, so the scan
+  // folds it into the lockstep max. advanceWindow runs after the yield and
+  // sets the carry again if the window was fully consumed.
+  bool scanWindow(gpu::KernelCtx& ctx, AgileCq& cq, AgileSq& sq,
+                  SimTime& doorbellCarry);
+  void advanceWindow(AgileCq& cq, SimTime& doorbellCarry);
 
   QueuePairSet* qps_;
   ServiceConfig cfg_;

@@ -1,6 +1,7 @@
 #include "gpu/exec.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace agile::gpu {
 
@@ -114,11 +115,12 @@ void Warp::startLanes(const KernelFn& fn) {
 
 SimTime Warp::runSegment() {
   running = true;
-  const std::uint32_t snapshot = readyMask_;
+  std::uint32_t snapshot = readyMask_;
   readyMask_ = 0;
   SimTime cost = 0;
-  for (std::uint32_t i = 0; i < laneCount(); ++i) {
-    if ((snapshot & (1u << i)) == 0) continue;
+  // Visit only the ready lanes, in ascending lane order.
+  for (; snapshot != 0; snapshot &= snapshot - 1) {
+    const auto i = static_cast<std::uint32_t>(std::countr_zero(snapshot));
     cost = std::max(cost, lanes_[i]->resumeSegment());
   }
   running = false;

@@ -1,8 +1,14 @@
 #include "gpu/hbm.h"
 
-#include <cstring>
+#include <algorithm>
+#include <functional>
 
 namespace agile::gpu {
+
+namespace {
+// agile-lint: allow(pointer-ordered): lookup index only; no order escapes it
+constexpr std::less<const std::byte*> kPtrLess;
+}  // namespace
 
 Hbm::Hbm(std::uint64_t capacityBytes) : capacity_(capacityBytes) {}
 
@@ -17,17 +23,29 @@ std::byte* Hbm::allocBytes(std::uint64_t bytes, std::uint64_t align) {
   c.size = padded;
   c.base = nextBase_;
   nextBase_ += padded + 4096;  // guard gap between chunks
-  c.data = std::make_unique<std::byte[]>(padded);
-  std::memset(c.data.get(), 0, padded);
+  c.data = std::make_unique<std::byte[]>(padded);  // zero-filled
   auto* p = c.data.get();
+  const auto idx = static_cast<std::uint32_t>(chunks_.size());
   chunks_.push_back(std::move(c));
+  byPtr_.insert(firstChunkAbove(p), idx);
   return p;
+}
+
+std::vector<std::uint32_t>::const_iterator Hbm::firstChunkAbove(
+    const std::byte* p) const {
+  return std::upper_bound(byPtr_.begin(), byPtr_.end(), p,
+                          [this](const std::byte* q, std::uint32_t i) {
+                            return kPtrLess(q, chunks_[i].data.get());
+                          });
 }
 
 std::uint64_t Hbm::physAddr(const void* p) const {
   const auto* b = static_cast<const std::byte*>(p);
-  for (const auto& c : chunks_) {
-    if (b >= c.data.get() && b < c.data.get() + c.size) {
+  // The chunk before the first one starting above `b` is the only candidate.
+  const auto it = firstChunkAbove(b);
+  if (it != byPtr_.begin()) {
+    const Chunk& c = chunks_[*std::prev(it)];
+    if (kPtrLess(b, c.data.get() + c.size)) {
       return c.base + static_cast<std::uint64_t>(b - c.data.get());
     }
   }
@@ -36,10 +54,13 @@ std::uint64_t Hbm::physAddr(const void* p) const {
 }
 
 std::byte* Hbm::fromPhysAddr(std::uint64_t addr) const {
-  for (const auto& c : chunks_) {
-    if (addr >= c.base && addr < c.base + c.size) {
-      return c.data.get() + (addr - c.base);
-    }
+  // Last chunk whose base is at or below `addr`.
+  const auto it = std::upper_bound(
+      chunks_.begin(), chunks_.end(), addr,
+      [](std::uint64_t a, const Chunk& c) { return a < c.base; });
+  if (it != chunks_.begin()) {
+    const Chunk& c = *std::prev(it);
+    if (addr < c.base + c.size) return c.data.get() + (addr - c.base);
   }
   AGILE_CHECK_MSG(false, "physical address not inside simulated HBM");
   return nullptr;

@@ -50,10 +50,17 @@ class Hbm {
     std::uint64_t base;  // simulated physical base address
   };
 
+  // Position in byPtr_ of the first chunk whose data starts above `p`.
+  std::vector<std::uint32_t>::const_iterator firstChunkAbove(
+      const std::byte* p) const;
+
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;
   std::uint64_t nextBase_ = 0x1000;  // avoid 0 looking like a null PRP
+  // In allocation order, so `base` ascends (fromPhysAddr searches it).
   std::vector<Chunk> chunks_;
+  // Chunk indices ordered by host pointer (physAddr searches it).
+  std::vector<std::uint32_t> byPtr_;
 };
 
 }  // namespace agile::gpu

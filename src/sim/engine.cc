@@ -164,6 +164,17 @@ void Engine::drainTick(std::size_t idx) {
   EventNode* n = buckets_[0][idx];
   buckets_[0][idx] = nullptr;
   occupancy_[0][idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
+  AGILE_DCHECK(dueHead_ == nullptr);
+  // One node (the common case: a lone timer or segment end) is already in
+  // (time, seq) order, so it links straight into the due list.
+  if (n->next == nullptr) {
+    n->loc = Loc::kDue;
+    n->pprev = nullptr;
+    dueHead_ = n;
+    --wheelCount_;
+    ++dueCount_;
+    return;
+  }
   drainScratch_.clear();
   for (; n != nullptr; n = n->next) drainScratch_.push_back(n);
   // All nodes share one timestamp; (time, seq) order within the tick is
@@ -171,7 +182,6 @@ void Engine::drainTick(std::size_t idx) {
   std::sort(
       drainScratch_.begin(), drainScratch_.end(),
       [](const EventNode* a, const EventNode* b) { return a->seq < b->seq; });
-  AGILE_DCHECK(dueHead_ == nullptr);
   EventNode* head = nullptr;
   for (auto it = drainScratch_.rbegin(); it != drainScratch_.rend(); ++it) {
     AGILE_DCHECK((*it)->time == drainScratch_.front()->time);

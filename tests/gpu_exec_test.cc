@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gpu/exec.h"
@@ -324,6 +325,44 @@ TEST(HbmTest, DistinctChunksDistinctAddresses) {
   auto a = hbm.alloc<std::uint32_t>(4);
   auto b = hbm.alloc<std::uint32_t>(4);
   EXPECT_NE(hbm.physAddr(a.data()), hbm.physAddr(b.data()));
+}
+
+// ~200 chunks of assorted sizes and alignments (a 3-SSD x 32-QP host
+// registers about as many): the first and last byte of every chunk map to
+// simulated physical addresses and back, in both directions, and start
+// zero-filled.
+TEST(HbmTest, ManyChunksRoundTrip) {
+  Hbm hbm(64_MiB);
+  std::vector<std::span<std::byte>> chunks;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const std::uint64_t bytes = 1 + (i * 977) % 9000;
+    const std::uint64_t align = std::uint64_t{64} << (i % 4);
+    chunks.emplace_back(hbm.allocBytes(bytes, align), bytes);
+  }
+  for (const auto& c : chunks) {
+    for (std::byte* p : {&c.front(), &c.back()}) {
+      EXPECT_EQ(*p, std::byte{0});
+      const std::uint64_t phys = hbm.physAddr(p);
+      EXPECT_EQ(hbm.fromPhysAddr(phys), p);
+      EXPECT_EQ(hbm.physAddr(hbm.fromPhysAddr(phys)), phys);
+    }
+  }
+  // Physical ranges are disjoint and ascend in allocation order.
+  for (std::size_t i = 1; i < chunks.size(); ++i) {
+    EXPECT_LT(hbm.physAddr(&chunks[i - 1].back()),
+              hbm.physAddr(&chunks[i].front()));
+  }
+}
+
+TEST(HbmTest, OutsideAddressesAbort) {
+  Hbm hbm(1_MiB);
+  auto a = hbm.alloc<std::uint64_t>(8);
+  const std::uint64_t outside = a.size_bytes();
+  int local = 0;
+  EXPECT_DEATH((void)hbm.physAddr(&local), "pointer not inside simulated HBM");
+  EXPECT_DEATH((void)hbm.fromPhysAddr(hbm.physAddr(a.data()) + outside),
+               "physical address not inside simulated HBM");
+  EXPECT_DEATH((void)hbm.fromPhysAddr(0), "physical address not inside");
 }
 
 TEST(RegModelTest, Figure12Ordering) {

@@ -1,7 +1,7 @@
 // Tests for the AGILE service (Algorithm 1): warp-centric window semantics,
 // CQ doorbell cadence, phase-bit survival across ring laps, multi-warp CQ
 // partitioning, lifecycle, and the pinned virtual schedule of the lockstep
-// service warp.
+// service warp (including multi-lap and fault-injected runs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -406,6 +406,48 @@ TEST_F(ServiceFixture, ScheduleSharedSm) {
   traffic(1024);
   settle();
   expectSchedule(*this, {1161803, 5128, 1024, 32, 8406, 295511});
+}
+
+// Fifteen laps of a depth-32 ring through one 16-lane window, in batches
+// that end mid-window: later scans start past a consumed prefix, and the
+// phase flips on each lap.
+TEST_F(ServiceFixture, ScheduleMultiLapHalfWindow) {
+  build(1, 32, /*serviceWarps=*/1);
+  AgileCq& cq = *host->queuePairs().cqs[0];
+  ASSERT_EQ(cq.windowLanes, 16u);
+  for (std::uint32_t n : {40u, 192u, 40u, 192u, 40u}) traffic(n);
+  settle();
+  // 504 completions: 15 laps of 32, one full window and 8 lanes of the next.
+  EXPECT_EQ(cq.offset, 16u);
+  EXPECT_EQ(cq.mask, 0xFFu);
+  EXPECT_FALSE(cq.phase);  // an odd number of laps
+  expectSchedule(*this, {1299158, 1364, 504, 31, 2729, 80608});
+}
+
+// Injected faults: swallowed completions (recovered by the watchdog and
+// the retry tier's abort-and-reissue) and transient read errors (reissued
+// after backoff). Dropped and aborted commands never post a CQE, so the
+// ring stays in order for the service.
+TEST_F(ServiceFixture, ScheduleFaultPlanRetries) {
+  HostConfig cfg = hostConfig(2, 32);
+  cfg.ioTimeoutNs = 200_us;
+  cfg.retry.maxAttempts = 6;
+  cfg.retry.backoffBaseNs = 10'000;
+  cfg.retry.quarantineAfter = 0;
+  nvme::SsdConfig ssd = ssdConfig();
+  ssd.fault.enabled = true;
+  ssd.fault.seed = 7;
+  ssd.fault.dropRate = 0.05;
+  ssd.fault.readErrorRate = 0.1;
+  build(cfg, ssd);
+  traffic(256);
+  settle();
+  const IoHealthStats h = host->ioHealth();
+  EXPECT_GT(h.retries, 0u);
+  EXPECT_GT(host->ssd(0).droppedCompletions(), 0u);
+  EXPECT_GT(host->ssd(0).injectedErrors(), 0u);
+  EXPECT_EQ(host->pendingTransactions(), 0u);
+  expectSchedule(*this, {1246152, 2125, 289, 17, 4251, 107492});
 }
 
 }  // namespace
