@@ -173,9 +173,8 @@ void AgileHost::resetStats() {
 
 bool AgileHost::drainIo() {
   const SimTime deadline = engine_.now() + cfg_.kernelTimeout;
-  return engine_.runUntil([&] {
-    return pendingTransactions() == 0 || engine_.now() > deadline;
-  }) && pendingTransactions() == 0;
+  return engine_.runUntil([&] { return pendingTransactions() == 0; },
+                          deadline);
 }
 
 void AgileHost::closeNvme() {

@@ -27,9 +27,26 @@
 // first unconsumed lane and stops at the first CQE whose phase does not
 // match: the lanes it skips could find nothing. Swallowed and aborted
 // commands never post, so they keep the order.
+//
+// Idle fast-forward: a warp whose pass found nothing replays, before it
+// sleeps, the idle passes that it and the other (sleeping) service warps
+// would run next, arithmetically and without engine events, up to the
+// horizon Engine::quietUntil gives: the first point at which anything that
+// is not a service warp's timer could run. Before the horizon the queue
+// state cannot change, so each replayed pass is idle and its cost follows
+// from that state. Passes are committed whole, in start order, only while
+// each starts on a free SM, ends before the horizon, overlaps no other
+// warp's wake and moves its warp's wake onto no other warp's wake time;
+// anything else runs for real. Moved sleepers are re-armed with fresh
+// timers, which order among pending events exactly as the originals would
+// (see docs/ARCHITECTURE.md "Idle fast-forward"). Consequence: pollRounds
+// and the service SM's segments()/busyNs() may run ahead of now(), up to
+// the next foreign event; engine runs never return before it, but an
+// Engine::runUntil predicate must not read them.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/types.h"
 #include "core/cost_model.h"
@@ -55,7 +72,10 @@ struct ServiceStats {
 class AgileService {
  public:
   AgileService(QueuePairSet& qps, ServiceConfig cfg)
-      : qps_(&qps), cfg_(cfg) {}
+      : qps_(&qps),
+        cfg_(cfg),
+        warps_(cfg.warps),
+        except_(cfg.warps) {}
 
   const ServiceConfig& config() const { return cfg_; }
   const ServiceStats& stats() const { return stats_; }
@@ -91,10 +111,37 @@ class AgileService {
                   SimTime& doorbellCarry);
   void advanceWindow(AgileCq& cq, SimTime& doorbellCarry);
 
+  // Cost of one idle pass of `warp` over the current queue state: `scans`
+  // window scans, each ending a segment, then a last segment of `last`.
+  struct IdlePass {
+    SimTime total = 0;
+    SimTime last = 0;
+    std::uint32_t scans = 0;
+  };
+  // False if a pair of the warp holds a posted, unconsumed CQE (its next
+  // pass would not be idle).
+  bool idlePass(std::uint32_t warp, SimTime overhead, IdlePass& pass) const;
+  // Called by `warp` at the end of an idle pass, its backoff already
+  // doubled: commits whatever replayed passes the rules allow (see the file
+  // comment) and returns the time the warp must wake.
+  SimTime fastForward(gpu::KernelCtx& ctx, std::uint32_t warp);
+
   QueuePairSet* qps_;
   ServiceConfig cfg_;
   ServiceStats stats_;
   bool stop_ = false;
+
+  // Per service warp: lane 0 while its loop runs, the backoff it last
+  // slept, and fastForward's scratch (its pass shape and replayed wake).
+  struct WarpState {
+    gpu::Lane* lane = nullptr;
+    SimTime idle = 0;
+    IdlePass pass;
+    SimTime wake = 0;
+  };
+  std::vector<WarpState> warps_;
+  // The sleeping peers' timers, for Engine::quietUntil; sized once.
+  std::vector<sim::TimerId> except_;
 };
 
 }  // namespace agile::core

@@ -65,7 +65,17 @@ void Lane::suspendYield(std::coroutine_handle<> h) {
 void Lane::suspendSleep(std::coroutine_handle<> h, SimTime delay) {
   resumePoint_ = h;
   state_ = LaneState::kSleeping;
-  warp_->block().gpu().engine().scheduleAfter(delay, [this] { wake(); });
+  sim::Engine& eng = warp_->block().gpu().engine();
+  wakeAt_ = eng.now() + delay;
+  sleepTimer_ = eng.scheduleAfter(delay, [this] { wake(); });
+}
+
+void Lane::resleep(SimTime t) {
+  AGILE_CHECK(state_ == LaneState::kSleeping);
+  sim::Engine& eng = warp_->block().gpu().engine();
+  AGILE_CHECK(eng.cancel(sleepTimer_));
+  wakeAt_ = t;
+  sleepTimer_ = eng.scheduleAt(t, [this] { wake(); });
 }
 
 void Lane::suspendPark(std::coroutine_handle<> h, sim::WaitList& list) {
@@ -99,6 +109,7 @@ Warp::Warp(Block& block, std::uint32_t warpId, std::uint32_t laneCount)
     lanes_.push_back(std::make_unique<Lane>(*this, i, threadIdx));
     liveMask_ |= 1u << i;
   }
+  liveCount_ = laneCount;
 }
 
 Warp::~Warp() = default;
@@ -162,6 +173,7 @@ void Warp::maybeCompleteCollective(std::uint32_t parity) {
 
 void Warp::laneDied(std::uint32_t laneId) {
   liveMask_ &= ~(1u << laneId);
+  --liveCount_;
   // A shrinking live set may satisfy an outstanding collective or the block
   // barrier (remaining arrivers are now everyone alive).
   if (liveMask_ != 0) {
@@ -282,8 +294,12 @@ void Sm::runSlot() {
   ++segments_;
   busyNs_ += cost;
   auto& eng = gpu_->engine();
-  busyUntil_ = eng.now() + cost;
-  eng.scheduleAt(busyUntil_, [this] { runSlot(); });
+  // A segment that credited replayed ones (Sm::credit) leaves the SM busy
+  // past its own end; the next slot still runs at that end and finds the
+  // ready queue empty.
+  const SimTime end = eng.now() + cost;
+  busyUntil_ = std::max(busyUntil_, end);
+  eng.scheduleAt(end, [this] { runSlot(); });
 }
 
 // ----------------------------------------------------------------- Gpu ----
@@ -313,9 +329,7 @@ KernelHandle Gpu::launch(LaunchConfig cfg, KernelFn fn) {
 }
 
 bool Gpu::wait(const KernelHandle& k, SimTime deadline) {
-  const bool ok = engine_->runUntil(
-      [&] { return k->done || engine_->now() > deadline; });
-  return ok && k->done;
+  return engine_->runUntil([&] { return k->done; }, deadline);
 }
 
 std::uint32_t Gpu::occupancyBlocksPerSm(const LaunchConfig& cfg) const {

@@ -18,6 +18,7 @@
 //    backoff) so the event heap stays small.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <coroutine>
@@ -124,7 +125,16 @@ class Lane {
   // Event-driven wake from Sleeping/Parked/Collective/Barrier.
   void wake();
 
+  // Move a sleeping lane's wake to `t` (>= now): cancels its timer and
+  // schedules a fresh one. Used by the service's idle fast-forward.
+  void resleep(SimTime t);
+
   LaneState state() const { return state_; }
+  // The pending wake timer and its time; valid while kSleeping.
+  sim::TimerId sleepTimer() const { return sleepTimer_; }
+  SimTime wakeAt() const { return wakeAt_; }
+  // Cycles charged so far in the segment being resumed.
+  SimTime pendingCharge() const { return pendingCharge_; }
   std::uint32_t laneId() const { return laneId_; }
   Warp& warp() { return *warp_; }
   KernelCtx& ctx() { return *ctx_; }
@@ -160,6 +170,10 @@ class Lane {
   std::unique_ptr<KernelCtx> ctx_;
   std::uint32_t collGen_ = 0;     // collectives entered so far
   std::uint32_t collParity_ = 0;  // parity of the collective being awaited
+  // The pending wake of a sleeping lane (read by the service's idle
+  // fast-forward); kept after the fields every segment touches.
+  sim::TimerId sleepTimer_;
+  SimTime wakeAt_ = 0;
 };
 
 class Warp {
@@ -173,6 +187,9 @@ class Warp {
   Sm& sm() { return *sm_; }
   std::uint32_t warpId() const { return warpId_; }
   std::uint32_t liveMask() const { return liveMask_; }
+  // popcount(liveMask()), kept as a count: the build has no popcnt ISA
+  // flag, so std::popcount on the charge paths is a library call.
+  std::uint32_t liveCount() const { return liveCount_; }
   Lane& lane(std::uint32_t i) { return *lanes_[i]; }
   std::uint32_t laneCount() const {
     return static_cast<std::uint32_t>(lanes_.size());
@@ -217,6 +234,7 @@ class Warp {
   Sm* sm_ = nullptr;
   std::uint32_t warpId_;
   std::uint32_t liveMask_ = 0;
+  std::uint32_t liveCount_ = 0;
   std::uint32_t readyMask_ = 0;
   CollectiveSlot coll_[2];
   std::vector<std::unique_ptr<Lane>> lanes_;
@@ -280,6 +298,15 @@ class Sm {
 
   SimTime busyNs() const { return busyNs_; }
   std::uint64_t segments() const { return segments_; }
+
+  // Account `segments` segments of `busyNs` total that a resident warp
+  // replayed without running them (the service's idle fast-forward); the
+  // SM stays busy until at least `until`.
+  void credit(std::uint64_t segments, SimTime busyNs, SimTime until) {
+    segments_ += segments;
+    busyNs_ += busyNs;
+    busyUntil_ = std::max(busyUntil_, until);
+  }
 
  private:
   void kick();
@@ -377,7 +404,7 @@ class KernelCtx {
   // warp segment cost models the serialized execution. Divergence makes this
   // an upper bound; see DESIGN.md §4.
   void chargeSerialized(SimTime cycles) {
-    lane_->charge(cycles * std::popcount(lane_->warp().liveMask()));
+    lane_->charge(cycles * lane_->warp().liveCount());
   }
 
   // Critical-section charge for an N-way sharded resource (the sharded
@@ -391,8 +418,7 @@ class KernelCtx {
   // charges exactly chargeSerialized — the unsharded baseline's cost, bit
   // for bit.
   void chargeSharded(SimTime cycles, std::uint32_t ways) {
-    const auto live =
-        static_cast<std::uint32_t>(std::popcount(lane_->warp().liveMask()));
+    const std::uint32_t live = lane_->warp().liveCount();
     lane_->charge(cycles * ((live + ways - 1) / ways));
   }
 

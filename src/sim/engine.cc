@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 namespace agile::sim {
 
@@ -271,11 +272,17 @@ bool Engine::step() {
   return true;
 }
 
-bool Engine::runUntil(const SmallFn<bool()>& done) {
+bool Engine::runUntil(const SmallFn<bool()>& done, SimTime deadline) {
+  const SimTime outer = std::exchange(runDeadline_, deadline);
+  bool ok = true;
   while (!done()) {
-    if (!step()) return done();
+    if (now_ > deadline || !step()) {
+      ok = done();
+      break;
+    }
   }
-  return true;
+  runDeadline_ = outer;
+  return ok;
 }
 
 void Engine::runToCompletion() {
@@ -284,6 +291,7 @@ void Engine::runToCompletion() {
 }
 
 void Engine::runFor(SimTime deadline) {
+  const SimTime outer = std::exchange(runDeadline_, deadline);
   // Ready/due events fire at now_; they are eligible whenever
   // now_ <= deadline. Timer ticks advance only up to the deadline.
   for (;;) {
@@ -299,6 +307,57 @@ void Engine::runFor(SimTime deadline) {
     break;
   }
   if (now_ < deadline) now_ = deadline;
+  runDeadline_ = outer;
+}
+
+const Engine::EventNode* Engine::firstUnexcepted(
+    const EventNode* n, std::span<const TimerId> except) {
+  for (; n != nullptr; n = n->next) {
+    const bool excepted =
+        std::any_of(except.begin(), except.end(), [n](const TimerId& id) {
+          return id.node_ == n && id.seq_ == n->seq;
+        });
+    if (!excepted) return n;
+  }
+  return nullptr;
+}
+
+SimTime Engine::quietUntil(std::span<const TimerId> except) const {
+  if (readyCount_ != 0 || dueCount_ != 0) return now_;
+  SimTime bound =
+      runDeadline_ == kSimTimeNever ? kSimTimeNever : runDeadline_ + 1;
+  // The heap top precedes every overflow event, live or not.
+  if (!overflow_.empty()) bound = std::min(bound, overflow_.front().time);
+  if (wheelCount_ == 0) return bound;
+  // advanceToNextTick's walk: level 0 from now's tick, then each coarser
+  // level from now's slot. The first bucket it reaches holds the earliest
+  // event: a level-0 bucket is one exact tick, a coarser one starts at its
+  // slot base. Skipping a bucket of excepted timers only is that walk over
+  // the wheel with those timers cancelled. Stale occupancy bits (emptied
+  // buckets) are skipped, not cleared.
+  const auto cur = static_cast<std::uint64_t>(now_);
+  for (unsigned level = 0; level < kWheelLevels; ++level) {
+    const std::size_t from = (cur >> (kWheelBits * level)) & kSlotMask;
+    const std::uint64_t baseMask =
+        ~((std::uint64_t{1} << (kWheelBits * level)) - 1);
+    std::uint64_t bits =
+        occupancy_[level][from / 64] & (~std::uint64_t{0} << (from % 64));
+    for (std::size_t w = from / 64;;) {
+      for (; bits != 0; bits &= bits - 1) {
+        const std::size_t idx =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        const EventNode* n = firstUnexcepted(buckets_[level][idx], except);
+        if (n != nullptr) {
+          return std::min(bound,
+                          static_cast<SimTime>(
+                              static_cast<std::uint64_t>(n->time) & baseMask));
+        }
+      }
+      if (++w >= kOccWords) break;
+      bits = occupancy_[level][w];
+    }
+  }
+  return bound;
 }
 
 WaitList::~WaitList() {

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -160,9 +161,20 @@ class Engine {
   /// Cancellation never perturbs the firing order of other events.
   bool cancel(TimerId id);
 
-  /// Run until the predicate returns true or no events remain.
-  /// Returns true if the predicate was satisfied.
-  bool runUntil(const SmallFn<bool()>& done);
+  /// Run until the predicate returns true, no events remain, or the clock
+  /// has passed `deadline`. The predicate is checked before every event, so
+  /// the first event past the deadline still runs (the same stop as a
+  /// `done() || now() > deadline` predicate). Returns done() at the stop.
+  ///
+  /// Contract: the predicate may read only state that events outside the
+  /// AGILE service change. The service fast-forwards its idle polling
+  /// passes (core/service.h "Idle fast-forward"), so its counters and its
+  /// SM's segment and busy counters may run ahead of now() — but only up to
+  /// the next pending event that is not its own, and no run returns before
+  /// that event. Pass the deadline here rather than testing now() in the
+  /// predicate: quietUntil() caps at it.
+  bool runUntil(const SmallFn<bool()>& done,
+                SimTime deadline = kSimTimeNever);
 
   /// Run until every queue (ready, wheel, overflow) drains.
   void runToCompletion();
@@ -170,6 +182,16 @@ class Engine {
   /// Run until virtual time would exceed `deadline`; events at later times
   /// stay queued. On return now() == max(now(), deadline).
   void runFor(SimTime deadline);
+
+  /// A lower bound on the time of the next pending event, ignoring the
+  /// timers named in `except`: nothing else can run before it. It is now()
+  /// when a ready or due event is pending. Otherwise it walks the wheel in
+  /// advanceToNextTick's order without cascading or touching any state and
+  /// takes the first bucket holding another event: its exact tick at level
+  /// 0, its slot base at levels 1-2. The overflow top (which may itself be
+  /// cancelled or excepted) and the active run's deadline + 1 (runUntil /
+  /// runFor; no cap outside a run) cap the result.
+  SimTime quietUntil(std::span<const TimerId> except) const;
 
   /// True when no live events are pending anywhere.
   bool idle() const { return pendingEvents() == 0; }
@@ -367,6 +389,10 @@ class Engine {
   }
 
   bool step();
+  // First node of the bucket list `n` that `except` does not name, or
+  // nullptr.
+  static const EventNode* firstUnexcepted(const EventNode* n,
+                                          std::span<const TimerId> except);
   // Advance the clock to the next pending timer tick if its time is
   // <= limit: migrates overflow events entering the epoch, cascades coarse
   // buckets, drains that tick's bucket into the due list sorted by seq, and
@@ -393,6 +419,8 @@ class Engine {
   void drainTick(std::size_t idx);
 
   SimTime now_ = 0;
+  // Deadline of the active runUntil / runFor; caps quietUntil.
+  SimTime runDeadline_ = kSimTimeNever;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t readyPath_ = 0;

@@ -58,15 +58,15 @@ struct ServiceFixture : ::testing::Test {
   // Let the service run a few poll rounds past the last app kernel (window
   // advance and CQ doorbells happen on the round after the final
   // completion is consumed).
-  void settle() { host->engine().runFor(host->engine().now() + 500_us); }
+  void settle() { idleFor(500_us); }
 
-  // Issue `n` reads from `threads` GPU threads and wait for all of them.
-  void traffic(std::uint32_t n) {
+  // Launch a kernel whose first `n` threads each issue one read.
+  gpu::KernelHandle launchTraffic(std::uint32_t n) {
     auto* mem = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
-    const gpu::KernelHandle k = host->launchKernel(
+    return host->launchKernel(
         {.gridDim = std::max(1u, n / 64), .blockDim = std::min(n, 64u),
          .name = "traffic"},
-        [&, n](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        [this, n, mem](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
           AgileLockChain chain;
           if (ctx.globalThreadIdx() >= n) co_return;
           AgileBuf tmp(mem);
@@ -84,8 +84,18 @@ struct ServiceFixture : ::testing::Test {
                                 chain);
           co_await barrierWait(ctx, tmp.barrier());
         });
+  }
+
+  // Issue `n` reads and wait for all of them.
+  void traffic(std::uint32_t n) {
+    const gpu::KernelHandle k = launchTraffic(n);
     ASSERT_TRUE(host->wait(k));
     trafficEnd = k->endTime;
+  }
+
+  // Run the engine `ns` past now.
+  void idleFor(SimTime ns) {
+    host->engine().runFor(host->engine().now() + ns);
   }
 };
 
@@ -448,6 +458,117 @@ TEST_F(ServiceFixture, ScheduleFaultPlanRetries) {
   EXPECT_GT(host->ssd(0).injectedErrors(), 0u);
   EXPECT_EQ(host->pendingTransactions(), 0u);
   expectSchedule(*this, {1246152, 2125, 289, 17, 4251, 107492});
+}
+
+// --- idle fast-forward -----------------------------------------------------
+//
+// An idle service warp replays its own and its sleeping peers' next idle
+// passes up to the next event that is not a service timer (core/service.h
+// "Idle fast-forward"). The values below were recorded before that change
+// existed, so they hold the replay to the exact schedule across long idle
+// stretches, run deadlines, stops and kernel timeouts. `trafficEnd` pins
+// whatever time each case names.
+
+// Bursts of slow reads separated by long idle gaps, with 1, 2 and 4
+// service warps over 8 queue pairs. In-flight reads keep pairs scanned, so
+// passes run several segments; the warps' backoffs settle on one period at
+// different phases, so their passes run close together on the SM.
+void idleStretches(ServiceFixture& f, std::uint32_t warps) {
+  nvme::SsdConfig ssd = ServiceFixture::ssdConfig();
+  ssd.readLatencyNs = 150_us;
+  f.build(ServiceFixture::hostConfig(8, 64, warps), ssd);
+  for (std::uint32_t n : {24u, 64u, 8u}) {
+    f.traffic(n);
+    f.idleFor(3_ms + 777);
+  }
+}
+
+TEST_F(ServiceFixture, ScheduleIdleStretchesOneWarp) {
+  idleStretches(*this, 1);
+  expectSchedule(*this, {6538836, 33400, 96, 0, 37576, 1358162});
+}
+
+TEST_F(ServiceFixture, ScheduleIdleStretchesTwoWarps) {
+  idleStretches(*this, 2);
+  expectSchedule(*this, {6536686, 35756, 96, 0, 44696, 1471542});
+}
+
+TEST_F(ServiceFixture, ScheduleIdleStretchesFourWarps) {
+  idleStretches(*this, 4);
+  expectSchedule(*this, {6537672, 36960, 96, 0, 55441, 1557560});
+}
+
+// Sixteen queue pairs per warp, reads on four of them: every pass is
+// mostly per-pair state checks, split into segments by the scans.
+TEST_F(ServiceFixture, ScheduleSkipOnlyWide) {
+  build(32, 32);
+  idleFor(2_ms);
+  expectSchedule(*this, {0, 0, 0, 0, 2004, 264528});
+  traffic(4);
+  idleFor(2_ms + 5);
+  expectSchedule(*this, {2062530, 3972, 4, 0, 7962, 654016});
+}
+
+// A runFor deadline inside an idle stretch with reads in flight: the
+// counters at return are the schedule's at the deadline, nothing replayed
+// past it.
+TEST_F(ServiceFixture, ScheduleRunForDeadlineMidIdle) {
+  build(4, 64, 2, 0, /*readLatencyNs=*/400_us);
+  const gpu::KernelHandle k = launchTraffic(64);
+  idleFor(123'457);
+  trafficEnd = host->engine().now();
+  expectSchedule(*this, {123457, 242, 0, 0, 364, 10184});
+  ASSERT_TRUE(host->wait(k));
+  trafficEnd = k->endTime;
+  expectSchedule(*this, {460682, 1034, 64, 0, 1551, 46634});
+}
+
+// Stopping after a long idle run: the warps wake on their replayed
+// timers, see the stop and retire. `trafficEnd` pins the stop time.
+TEST_F(ServiceFixture, ScheduleStopAfterLongIdle) {
+  build(2, 64);
+  traffic(64);
+  idleFor(5_ms + 3);
+  host->stopAgile();
+  trafficEnd = host->engine().now();
+  expectSchedule(*this, {5125208, 201, 64, 2, 5408, 71674});
+}
+
+// host->wait gives up on a sleeping kernel while the service idles: the
+// first event past the deadline still runs, as with the deadline tested
+// in the predicate. Then the kernel finishes.
+TEST_F(ServiceFixture, ScheduleKernelTimeoutWhileIdle) {
+  HostConfig cfg = hostConfig(2, 64);
+  cfg.kernelTimeout = 1_ms;
+  build(cfg, ssdConfig());
+  traffic(32);
+  const gpu::KernelHandle k = host->launchKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "sleeper"},
+      [](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        co_await ctx.backoff(3_ms);
+      });
+  EXPECT_FALSE(host->wait(k));
+  trafficEnd = host->engine().now();
+  expectSchedule(*this, {1087780, 1102, 32, 0, 2205, 49660});
+  idleFor(2_ms + 11);
+  ASSERT_TRUE(k->done);
+  trafficEnd = k->endTime;
+  expectSchedule(*this, {3086058, 3064, 32, 0, 6129, 135988});
+}
+
+// With nothing else pending, an idle stretch costs a handful of engine
+// events instead of about three per pass per warp: the first idle pass
+// replays the rest up to the runFor deadline. Each pair's window is half
+// consumed (16 of 32 lanes), so the replayed passes scan windows too.
+TEST_F(ServiceFixture, IdleRunForEventBudget) {
+  build(4, 64);
+  traffic(64);
+  settle();
+  const std::uint64_t before = host->engine().executedEvents();
+  const std::uint64_t rounds = host->service().stats().pollRounds;
+  idleFor(10_ms);
+  EXPECT_LT(host->engine().executedEvents() - before, 64u);
+  EXPECT_GT(host->service().stats().pollRounds - rounds, 10'000u);
 }
 
 }  // namespace

@@ -627,6 +627,159 @@ TEST(EngineTest, RandomizedTraceMatchesReferenceOrder) {
   EXPECT_EQ(wheelTrace, refTrace);
 }
 
+// quietUntil against a brute-force minimum over the live events that the
+// except list does not name. Events span all three wheel levels and (in
+// odd trials) the overflow heap; some are cancelled, the clock advances
+// through runFor between queries, and except lists mix live and stale
+// handles. The result is always a lower bound no earlier than now; without
+// overflow events it is no earlier than the earliest event's level-2 slot
+// base, and exact when that event lies in now's level-0 window.
+TEST(EngineTest, QuietUntilIsBruteForceLowerBound) {
+  constexpr SimTime kLevel0 = SimTime{1} << Engine::kWheelBits;
+  constexpr SimTime kLevel2 = SimTime{1} << (2 * Engine::kWheelBits);
+  struct Ev {
+    TimerId id;
+    SimTime time;
+    bool live;
+  };
+  std::uint64_t rng = 777;
+  auto next = [&rng] {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return rng >> 16;
+  };
+  int exactChecks = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const bool overflow = trial % 2 == 1;
+    Engine eng;
+    std::vector<Ev> evs;
+    auto delay = [&] {
+      // Sub-slot, level-1, level-2 and (odd trials) past-horizon delays.
+      const unsigned bits = static_cast<unsigned>(
+          next() % (overflow ? 36 : Engine::kWheelHorizonBits));
+      return 1 + static_cast<SimTime>(next() % (std::uint64_t{1} << bits));
+    };
+    auto add = [&](int n) {
+      for (int i = 0; i < n; ++i) {
+        const SimTime t = eng.now() + delay();
+        const std::size_t k = evs.size();
+        evs.push_back({eng.scheduleAt(t, [&evs, k] { evs[k].live = false; }),
+                       t, true});
+      }
+    };
+    add(1 + static_cast<int>(next() % 40));
+    for (int round = 0; round < 6; ++round) {
+      for (Ev& e : evs) {
+        if (e.live && next() % 8 == 0) {
+          ASSERT_TRUE(eng.cancel(e.id));
+          e.live = false;
+        }
+      }
+      std::vector<TimerId> except;
+      std::vector<bool> named(evs.size(), false);
+      for (std::size_t k = 0; k < evs.size(); ++k) {
+        if (next() % 3 == 0) {
+          except.push_back(evs[k].id);
+          named[k] = true;
+        }
+      }
+      SimTime want = kSimTimeNever;
+      for (std::size_t k = 0; k < evs.size(); ++k) {
+        if (evs[k].live && !named[k]) want = std::min(want, evs[k].time);
+      }
+      const SimTime got = eng.quietUntil(except);
+      ASSERT_LE(got, want) << "trial " << trial << " round " << round;
+      ASSERT_GE(got, eng.now());
+      if (!overflow && want != kSimTimeNever) {
+        ASSERT_GE(got, want & ~(kLevel2 - 1));
+        if ((want ^ eng.now()) < kLevel0) {
+          ASSERT_EQ(got, want);
+          ++exactChecks;
+        }
+      }
+      eng.runFor(eng.now() + delay());
+      add(static_cast<int>(next() % 8));
+    }
+  }
+  EXPECT_GT(exactChecks, 50);
+}
+
+// Inside an event: a pending ready or due event pins the horizon to now,
+// and an active runFor / runUntil deadline caps it at deadline + 1.
+TEST(EngineTest, QuietUntilSeesPendingWorkAndRunDeadline) {
+  Engine eng;
+  std::vector<SimTime> seen;
+  auto probe = [&] { seen.push_back(eng.quietUntil({})); };
+  // Due: another timer at the same tick. Ready: a zero-delay event.
+  eng.scheduleAt(10, probe);
+  eng.scheduleAt(10, [] {});
+  eng.scheduleAt(20, [&] {
+    eng.scheduleNow([] {});
+    probe();
+  });
+  // Alone at its tick: the next event (at 40) bounds it, and the runFor
+  // deadline caps at 36 at the probe at 30.
+  eng.scheduleAt(30, probe);
+  eng.scheduleAt(40, [] {});
+  eng.runFor(35);
+  EXPECT_EQ(seen, (std::vector<SimTime>{10, 20, 36}));
+  // Outside a run there is no cap; inside runUntil its deadline caps.
+  EXPECT_EQ(eng.quietUntil({}), 40);
+  eng.scheduleAt(50, probe);
+  eng.scheduleAt(5'000'000, [] {});
+  EXPECT_FALSE(eng.runUntil([] { return false; }, 1000));
+  EXPECT_EQ(seen.back(), 1001);
+  // Excepting the only other timer leaves just the deadline.
+  TimerId far;
+  eng.scheduleAt(eng.now() + 7,
+                 [&] { seen.push_back(eng.quietUntil({&far, 1})); });
+  far = eng.scheduleAt(eng.now() + 9, [] {});
+  eng.runFor(eng.now() + 100);
+  EXPECT_EQ(seen.back(), eng.now() + 1);
+}
+
+// runUntil(done, deadline) stops after the same event, at the same now(),
+// as the predicate `done() || now() > deadline` it replaces, and returns
+// done() at the stop.
+TEST(EngineTest, RunUntilDeadlineMatchesPredicateForm) {
+  std::uint64_t rng = 99;
+  auto next = [&rng] {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return rng >> 16;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<SimTime> times;
+    for (int i = 0; i < 30; ++i) {
+      times.push_back(static_cast<SimTime>(next() % 5000));
+    }
+    const int target = static_cast<int>(next() % 40);  // may never be hit
+    const SimTime deadline = static_cast<SimTime>(next() % 6000);
+    struct Result {
+      int fired;
+      SimTime now;
+      bool ok;
+    };
+    auto run = [&](bool engineDeadline) {
+      Engine eng;
+      int fired = 0;
+      for (SimTime t : times) eng.scheduleAt(t, [&fired] { ++fired; });
+      bool ok;
+      if (engineDeadline) {
+        ok = eng.runUntil([&] { return fired == target; }, deadline);
+      } else {
+        ok = eng.runUntil(
+                 [&] { return fired == target || eng.now() > deadline; }) &&
+             fired == target;
+      }
+      return Result{fired, eng.now(), ok};
+    };
+    const Result a = run(true);
+    const Result b = run(false);
+    ASSERT_EQ(a.fired, b.fired) << "trial " << trial;
+    ASSERT_EQ(a.now, b.now) << "trial " << trial;
+    ASSERT_EQ(a.ok, b.ok) << "trial " << trial;
+  }
+}
+
 TEST(TokenBucketTest, BurstCompletesImmediately) {
   TokenBucket tb(1000.0, 16.0);  // 1000 units/s, burst 16
   EXPECT_EQ(tb.reserve(0, 1.0), 0);
