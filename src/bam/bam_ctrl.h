@@ -22,6 +22,7 @@
 #include "common/check.h"
 #include "core/cache.h"
 #include "core/cost_model.h"
+#include "core/ctrl.h"
 #include "core/host.h"
 #include "core/io_queues.h"
 #include "core/lock.h"
@@ -73,16 +74,15 @@ class BamCtrl {
   gpu::GpuTask<T> readElem(gpu::KernelCtx& ctx, std::uint32_t dev,
                            std::uint64_t elemIdx, core::AgileLockChain& chain) {
     ++stats_.reads;
-    const std::uint64_t byteOff = elemIdx * sizeof(T);
-    const std::uint64_t lba = byteOff / nvme::kLbaBytes;
-    const std::uint32_t off = byteOff % nvme::kLbaBytes;
-    AGILE_CHECK(off + sizeof(T) <= nvme::kLbaBytes);
+    const core::ElemAddr at = core::elemAddr<T>(elemIdx);
+    AGILE_CHECK(at.byteOff + sizeof(T) <= nvme::kLbaBytes);
 
-    const std::uint32_t line = co_await acquireReadyLine(ctx, dev, lba, chain);
+    const std::uint32_t line = co_await acquireReadyLine(ctx, dev, at.lba,
+                                                         chain);
     if (line == core::kNoSlot) co_return T{};  // budget exhausted
     ctx.charge(cache_.costs().word);
     T v;
-    std::memcpy(&v, cache_.line(line).data + off, sizeof(T));
+    std::memcpy(&v, cache_.line(line).data + at.byteOff, sizeof(T));
     co_return v;
   }
 
@@ -93,15 +93,14 @@ class BamCtrl {
                                std::uint64_t elemIdx, T value,
                                core::AgileLockChain& chain) {
     ++stats_.writes;
-    const std::uint64_t byteOff = elemIdx * sizeof(T);
-    const std::uint64_t lba = byteOff / nvme::kLbaBytes;
-    const std::uint32_t off = byteOff % nvme::kLbaBytes;
-    AGILE_CHECK(off + sizeof(T) <= nvme::kLbaBytes);
+    const core::ElemAddr at = core::elemAddr<T>(elemIdx);
+    AGILE_CHECK(at.byteOff + sizeof(T) <= nvme::kLbaBytes);
 
-    const std::uint32_t line = co_await acquireReadyLine(ctx, dev, lba, chain);
+    const std::uint32_t line = co_await acquireReadyLine(ctx, dev, at.lba,
+                                                         chain);
     if (line == core::kNoSlot) co_return;  // budget exhausted; write dropped
     ctx.charge(cache_.costs().word);
-    std::memcpy(cache_.line(line).data + off, &value, sizeof(T));
+    std::memcpy(cache_.line(line).data + at.byteOff, &value, sizeof(T));
     cache_.markModified(line);
     co_return;
   }

@@ -1,7 +1,6 @@
 #include "nvme/ssd.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace agile::nvme {
 
@@ -247,22 +246,14 @@ Status SsdController::doDma(const Sqe& sqe) {
   const std::uint32_t copyBytes =
       cfg_.payloadBytes == 0 ? kLbaBytes
                              : std::min(cfg_.payloadBytes, kLbaBytes);
-  alignas(8) std::byte page[kLbaBytes];
   for (std::uint32_t p = 0; p < pages; ++p) {
     std::byte* target = hbm_->fromPhysAddr(sqe.prp1 + p * kLbaBytes);
     if (isRead) {
-      AGILE_CHECK(flash_.readPage(sqe.slba + p, page));
-      std::memcpy(target, page, copyBytes);
+      AGILE_CHECK(flash_.readPrefix(sqe.slba + p, target, copyBytes));
       bytesRead_ += kLbaBytes;
     } else {
-      if (copyBytes == kLbaBytes) {
-        flash_.writePage(sqe.slba + p, target);
-      } else {
-        // Truncated-payload mode: preserve the page's generated tail.
-        AGILE_CHECK(flash_.readPage(sqe.slba + p, page));
-        std::memcpy(page, target, copyBytes);
-        flash_.writePage(sqe.slba + p, page);
-      }
+      // A truncated write keeps the page's tail (see FlashStore).
+      AGILE_CHECK(flash_.writePrefix(sqe.slba + p, target, copyBytes));
       bytesWritten_ += kLbaBytes;
     }
   }

@@ -44,8 +44,12 @@ struct SsdConfig {
   SimTime cmdFetchNs = 100;       // per-command fetch/decode, serial per QP
   double latencyJitter = 0.03;    // deterministic per-command jitter fraction
   std::uint32_t maxQueuePairs = 128;
-  // If nonzero, DMA copies only this many bytes per page (timing unchanged);
-  // large bandwidth sweeps use it to bound host memory.
+  // If nonzero, DMA moves only the first payloadBytes of each page (timing
+  // and byte counters unchanged); large bandwidth sweeps use it to bound host
+  // memory and time. A read fills only that prefix of its HBM target and
+  // leaves the rest untouched; a write stores only that prefix, and the
+  // page's other bytes keep the content they had (generated on read if never
+  // written), so the flash store holds payloadBytes per written page.
   std::uint32_t payloadBytes = 0;
   // Opt-in deterministic fault injection (transient errors, dropped
   // completions, latency storms). Disabled by default; see nvme/fault.h.
